@@ -17,8 +17,10 @@
 //! * **Transient API 5xx** on `get_streams` / `get_profile` — the caller is
 //!   expected to retry with backoff;
 //! * **CDN faults** on `cdn_get` — request timeouts, truncated payloads
-//!   (stored bytes shorter than the header promises), and corrupted pixel
-//!   bytes (length preserved, content garbage);
+//!   (fewer bytes than the content length promises), and corrupted pixel
+//!   bytes (length preserved, content garbage). A payload fault is drawn
+//!   at fetch time and applied to the pixels by the pure
+//!   [`CdnFault::mangle`] whenever they are rendered;
 //! * **Downloader crash windows** — a worker dies at a planned instant and
 //!   recovers later; the coordinator must reassign its streamers;
 //! * **Write drops** on the KV / object stores — the write is acknowledged
@@ -156,13 +158,36 @@ pub enum CdnFault {
     /// The request times out; no payload is returned. Detectable at fetch
     /// time — the caller should retry with backoff.
     Timeout,
-    /// The payload arrives shorter than its header promises. Undetectable
-    /// at fetch time; surfaces as a decode failure downstream.
+    /// The payload arrives shorter than its content length promises. The
+    /// fetcher sees the short transfer and treats it like a timeout.
     Truncated,
     /// The payload arrives with corrupted pixel bytes but the right
     /// length. Decodes fine; the OCR stage reads garbage and extracts
     /// nothing.
     Corrupted,
+}
+
+impl CdnFault {
+    /// Apply this fault to a thumbnail's pixel bytes. A pure function of
+    /// the fault, so the pixels can be rendered (and damaged) long after
+    /// the fetch that drew the fault: `Truncated` halves the bytes,
+    /// `Corrupted` XOR-flips a stride of bytes in place (same length,
+    /// garbage content), and `Timeout` leaves them alone (no payload
+    /// ever carries it).
+    pub fn mangle(self, pixels: &mut Vec<u8>) {
+        match self {
+            CdnFault::Timeout => {}
+            CdnFault::Truncated => {
+                let keep = pixels.len() / 2;
+                pixels.truncate(keep);
+            }
+            CdnFault::Corrupted => {
+                for byte in pixels.iter_mut().step_by(3) {
+                    *byte ^= 0xA5;
+                }
+            }
+        }
+    }
 }
 
 /// The declarative fault schedule: rates per fault class plus explicit
@@ -428,24 +453,6 @@ impl ChaosInjector {
             },
         );
         Some(fault)
-    }
-
-    /// Deterministically mangle a payload according to a CDN fault.
-    /// `Truncated` halves the pixel bytes; `Corrupted` XOR-flips a stride
-    /// of bytes in place (same length, garbage content).
-    pub fn mangle_payload(&self, fault: CdnFault, pixels: &mut Vec<u8>) {
-        match fault {
-            CdnFault::Timeout => {}
-            CdnFault::Truncated => {
-                let keep = pixels.len() / 2;
-                pixels.truncate(keep);
-            }
-            CdnFault::Corrupted => {
-                for byte in pixels.iter_mut().step_by(3) {
-                    *byte ^= 0xA5;
-                }
-            }
-        }
     }
 
     /// Should this KV write be silently dropped?
@@ -862,20 +869,23 @@ mod tests {
 
     #[test]
     fn mangle_truncates_and_corrupts() {
-        let chaos = ChaosInjector::new(FaultPlan::quiet(5));
         let original: Vec<u8> = (0..100).map(|i| i as u8).collect();
 
         let mut truncated = original.clone();
-        chaos.mangle_payload(CdnFault::Truncated, &mut truncated);
-        assert_eq!(truncated.len(), 50);
+        CdnFault::Truncated.mangle(&mut truncated);
+        assert_eq!(truncated, original[..50]);
 
         let mut corrupted = original.clone();
-        chaos.mangle_payload(CdnFault::Corrupted, &mut corrupted);
+        CdnFault::Corrupted.mangle(&mut corrupted);
         assert_eq!(corrupted.len(), original.len());
         assert_ne!(corrupted, original);
+        // Every third byte flips with 0xA5; the rest are untouched.
+        for (i, (&c, &o)) in corrupted.iter().zip(&original).enumerate() {
+            assert_eq!(c, if i % 3 == 0 { o ^ 0xA5 } else { o });
+        }
 
         let mut untouched = original.clone();
-        chaos.mangle_payload(CdnFault::Timeout, &mut untouched);
+        CdnFault::Timeout.mangle(&mut untouched);
         assert_eq!(untouched, original);
     }
 }

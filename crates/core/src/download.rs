@@ -4,9 +4,13 @@
 //! detect streamers coming online, and hands their thumbnail URLs to lean
 //! *downloaders* through the key-value store. Each downloader races the
 //! CDN's 5-minute overwrite: it HEADs the URL to learn when the next
-//! thumbnail lands, GETs it in time, stores the image in the object store
-//! and pushes a processing task onto the work queue. Offline URLs redirect,
-//! at which point the downloader signals the coordinator through the store.
+//! thumbnail lands, GETs it in time, stores what it fetched in the object
+//! store and pushes a processing task onto the work queue. The stored
+//! object is the thumbnail's encoded [`ThumbContent`] descriptor, not its
+//! pixels: only the FullOcr extract stage reads pixels, and it renders
+//! them from the descriptor ([`tero_world::twitch::TwitchSim::render`]).
+//! Offline URLs redirect, at which point the downloader signals the
+//! coordinator through the store.
 //!
 //! Load balancing follows the paper: "a downloader takes on a new streamer
 //! whenever it becomes idle" — here, new URLs go to the downloader with
@@ -40,7 +44,7 @@ use tero_obs::Registry;
 use tero_store::{KvStore, ObjectStore};
 use tero_trace::{Level, Tracer};
 use tero_types::{GameId, SimDuration, SimRng, SimTime, StreamerId};
-use tero_world::twitch::{ApiError, CdnResponse};
+use tero_world::twitch::{ApiError, CdnResponse, ThumbContent};
 use tero_world::World;
 
 /// KV list holding tasks that could not be processed (undecodable queue
@@ -85,7 +89,7 @@ pub struct ThumbnailTask {
     pub game_label: GameId,
     /// Content timestamp of the thumbnail.
     pub generated_at: SimTime,
-    /// Object-store key of the stored image.
+    /// Object-store key of the stored thumbnail descriptor.
     pub object_key: String,
 }
 
@@ -851,9 +855,7 @@ impl DownloadModule {
                     // length promised. Fold them into the timeout path.
                     let fault = match &response {
                         CdnResponse::TimedOut => true,
-                        CdnResponse::Thumbnail { image, .. } => {
-                            image.pixels.len() != image.width * image.height
-                        }
+                        CdnResponse::Thumbnail { content, .. } => !content.is_whole(),
                         CdnResponse::Offline => false,
                     };
                     if fault {
@@ -892,10 +894,10 @@ impl DownloadModule {
                     }
                     match response {
                         CdnResponse::Thumbnail {
-                            image,
-                            generated_at,
+                            content,
                             next_update,
                         } => {
+                            let generated_at = content.generated_at;
                             assignment.breaker_on_success();
                             if let Some(last) = assignment.last_generated {
                                 if generated_at == last {
@@ -918,17 +920,8 @@ impl DownloadModule {
                                 }
                             }
                             assignment.last_generated = Some(generated_at);
-                            let object_key = format!(
-                                "{}/{}",
-                                assignment.streamer.as_str(),
-                                generated_at.as_micros()
-                            );
-                            let bytes: Vec<u8> = image.pixels.clone();
-                            let mut payload = Vec::with_capacity(bytes.len() + 8);
-                            payload.extend((image.width as u32).to_le_bytes());
-                            payload.extend((image.height as u32).to_le_bytes());
-                            payload.extend(bytes);
-                            self.objects.put("thumbs", &object_key, payload);
+                            let object_key = content.object_key();
+                            self.objects.put("thumbs", &object_key, content.encode());
                             let task = ThumbnailTask {
                                 streamer: assignment.streamer.clone(),
                                 game_label: assignment.game_label,
@@ -1065,31 +1058,21 @@ impl DownloadModule {
         (requeued, still_dead)
     }
 
-    /// Fetch a stored thumbnail image back from the object store. `None`
-    /// means the object is missing or its payload is corrupt (short header
-    /// or a pixel-count mismatch) — corrupt payloads bump
+    /// Read a stored thumbnail's content descriptor back from the object
+    /// store. `None` means the object is missing or its payload is not a
+    /// whole thumbnail: bytes that do not decode, or a descriptor of a
+    /// payload that never arrived whole. Those bump
     /// `download.decode_failures`, and the caller should route the task to
     /// [`DownloadModule::dead_letter`].
-    pub fn load_image(&self, object_key: &str) -> Option<tero_vision::Image> {
+    pub fn load_content(&self, object_key: &str) -> Option<ThumbContent> {
         let bytes = self.objects.get("thumbs", object_key)?;
-        let corrupt = || {
-            self.obs.counter("download.decode_failures").inc();
-            None
-        };
-        if bytes.len() < 8 {
-            return corrupt();
+        match ThumbContent::decode(object_key, &bytes) {
+            Ok(content) if content.is_whole() => Some(content),
+            _ => {
+                self.obs.counter("download.decode_failures").inc();
+                None
+            }
         }
-        let width = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-        let height = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
-        let pixels = bytes[8..].to_vec();
-        if pixels.len() != width * height {
-            return corrupt();
-        }
-        Some(tero_vision::Image {
-            width,
-            height,
-            pixels,
-        })
     }
 
     /// Country-tag history collected for a streamer during the run.
@@ -1262,11 +1245,58 @@ mod tests {
         assert!(stats.downloaded <= truth);
         assert_eq!(objects.count("thumbs") as u64, stats.downloaded);
 
-        // Tasks decode and reference stored objects.
+        // Tasks decode and reference stored objects, which render.
         let tasks = module.drain_tasks();
         assert_eq!(tasks.len() as u64, stats.downloaded);
-        let img = module.load_image(&tasks[0].object_key).expect("image");
+        let content = module
+            .load_content(&tasks[0].object_key)
+            .expect("descriptor");
+        assert_eq!(content.streamer, tasks[0].streamer);
+        assert_eq!(content.generated_at, tasks[0].generated_at);
+        let img = world.twitch.render(&content).expect("image");
         assert_eq!(img.width, tero_vision::scene::THUMB_W);
+    }
+
+    #[test]
+    fn malformed_stored_payloads_are_counted_decode_failures() {
+        let objects = ObjectStore::new();
+        let mut module = DownloadModule::new(KvStore::new(), objects.clone());
+        let registry = Registry::new();
+        module.instrument(&registry);
+        let whole = ThumbContent {
+            streamer: StreamerId::new("finewolf"),
+            generated_at: SimTime::from_mins(5),
+            fault: Some(tero_chaos::CdnFault::Corrupted),
+        };
+        let truncated = ThumbContent {
+            fault: Some(tero_chaos::CdnFault::Truncated),
+            ..whole.clone()
+        };
+        // The raw-pixel layout: a width/height header, then pixels.
+        let mut raw_pixels = Vec::new();
+        raw_pixels.extend(160u32.to_le_bytes());
+        raw_pixels.extend(90u32.to_le_bytes());
+        raw_pixels.extend([7u8; 32]);
+        let key = whole.object_key();
+        let bad = [
+            (key.clone(), Vec::new()),
+            (key.clone(), vec![9]),
+            (key.clone(), raw_pixels),
+            (key.clone(), truncated.encode()),
+            ("no-instant".to_string(), whole.encode()),
+        ];
+        for (key, payload) in &bad {
+            objects.put("thumbs", key, payload.clone());
+            assert_eq!(module.load_content(key), None);
+        }
+        objects.put("thumbs", &key, whole.encode());
+        assert_eq!(module.load_content(&key), Some(whole));
+        // A missing object is not a decode failure.
+        assert_eq!(module.load_content("absent/1"), None);
+        assert_eq!(
+            registry.snapshot().counter("download.decode_failures"),
+            Some(bad.len() as u64)
+        );
     }
 
     #[test]

@@ -97,8 +97,11 @@ impl Stage for ExtractStage {
                 let mut t = extract_stage.task(base + i as u64);
                 t.set_sim_time(task.generated_at);
                 let outcome = match mode {
+                    // The only reader of pixels: render them here, on
+                    // the pool, from the stored descriptor.
                     ExtractionMode::FullOcr => io
-                        .load_image(&task.object_key)
+                        .load_content(&task.object_key)
+                        .and_then(|content| world_ro.twitch.render(&content))
                         .map(|image| processor.extract(&image, task.game_label)),
                     ExtractionMode::Calibrated => Some(calibrated_extract(world_ro, task)),
                 };

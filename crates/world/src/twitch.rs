@@ -2,6 +2,12 @@
 //! whose thumbnail URLs are overwritten roughly every 5 minutes and
 //! redirect to an offline sentinel when the streamer stops broadcasting
 //! (the environment App. A's download module is built against).
+//!
+//! The CDN answers with *what* sits at a URL — a [`ThumbContent`]
+//! descriptor naming the streamer, the sample instant and any payload
+//! fault — not with its pixels. Whoever actually reads the pixels asks
+//! [`TwitchSim::render`] for them, which rebuilds the image from the
+//! world's ground truth: the same bytes an eager CDN would have served.
 
 use crate::games::hud_spec;
 use crate::sessions::{TruthSample, TruthStream};
@@ -26,15 +32,110 @@ pub struct StreamListing {
     pub country_tag: Option<String>,
 }
 
+/// The content of one thumbnail: which streamer's sample it shows and
+/// what the fetch did to its payload. [`TwitchSim::render`] turns it back
+/// into pixels. Its stored form is split in two: the object key
+/// ([`ThumbContent::object_key`]) names the streamer and the instant, and
+/// the payload ([`ThumbContent::encode`]) is one fault tag byte;
+/// [`ThumbContent::decode`] reads both back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ThumbContent {
+    /// The broadcaster.
+    pub streamer: StreamerId,
+    /// When this thumbnail was generated: the ground-truth sample instant
+    /// it shows.
+    pub generated_at: SimTime,
+    /// The payload fault the fetch suffered, applied by
+    /// [`CdnFault::mangle`] when the pixels are rendered. The CDN only
+    /// ever sets `Truncated` or `Corrupted` here.
+    pub fault: Option<CdnFault>,
+}
+
+/// Why a stored object is not a [`ThumbContent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ContentError {
+    /// The payload is not exactly one byte long (its length is given).
+    Length(usize),
+    /// The payload's fault tag names no fault.
+    UnknownTag(u8),
+    /// The key is not `{streamer}/{instant µs}` with a non-empty streamer.
+    BadKey,
+}
+
+impl std::fmt::Display for ContentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ContentError::Length(n) => write!(f, "thumbnail payload of {n} bytes, expected 1"),
+            ContentError::UnknownTag(t) => write!(f, "unknown thumbnail fault tag {t}"),
+            ContentError::BadKey => write!(f, "thumbnail key is not streamer/instant"),
+        }
+    }
+}
+
+impl std::error::Error for ContentError {}
+
+impl ThumbContent {
+    /// Whether the fetch delivered the whole payload. A truncated
+    /// transfer did not (fewer bytes than the content length promised),
+    /// and neither did a timeout.
+    pub fn is_whole(&self) -> bool {
+        matches!(self.fault, None | Some(CdnFault::Corrupted))
+    }
+
+    /// The object-store key: `{streamer}/{instant µs}`. Unique per
+    /// thumbnail, since a streamer's samples have distinct instants.
+    pub fn object_key(&self) -> String {
+        format!(
+            "{}/{}",
+            self.streamer.as_str(),
+            self.generated_at.as_micros()
+        )
+    }
+
+    /// The stored payload: the fault tag, one byte. Everything else is in
+    /// [`ThumbContent::object_key`].
+    pub fn encode(&self) -> Vec<u8> {
+        vec![match self.fault {
+            None => 0,
+            Some(CdnFault::Timeout) => 1,
+            Some(CdnFault::Truncated) => 2,
+            Some(CdnFault::Corrupted) => 3,
+        }]
+    }
+
+    /// Read a stored object back from its key and payload. Any input
+    /// either decodes or yields a typed error; nothing here panics.
+    pub fn decode(key: &str, payload: &[u8]) -> Result<ThumbContent, ContentError> {
+        let &[tag] = payload else {
+            return Err(ContentError::Length(payload.len()));
+        };
+        let fault = match tag {
+            0 => None,
+            1 => Some(CdnFault::Timeout),
+            2 => Some(CdnFault::Truncated),
+            3 => Some(CdnFault::Corrupted),
+            tag => return Err(ContentError::UnknownTag(tag)),
+        };
+        let (streamer, micros) = key.rsplit_once('/').ok_or(ContentError::BadKey)?;
+        let micros: u64 = micros.parse().map_err(|_| ContentError::BadKey)?;
+        if streamer.is_empty() {
+            return Err(ContentError::BadKey);
+        }
+        Ok(ThumbContent {
+            streamer: StreamerId::new(streamer),
+            generated_at: SimTime::from_micros(micros),
+            fault,
+        })
+    }
+}
+
 /// What a CDN fetch returns.
 #[derive(Debug, Clone)]
 pub enum CdnResponse {
     /// The thumbnail currently at the URL.
     Thumbnail {
-        /// The rendered image.
-        image: Image,
-        /// When this thumbnail was generated (content timestamp).
-        generated_at: SimTime,
+        /// What the thumbnail shows; [`TwitchSim::render`] draws it.
+        content: ThumbContent,
         /// When the next overwrite is expected (HEAD's answer).
         next_update: Option<SimTime>,
     },
@@ -201,73 +302,83 @@ impl TwitchSim {
             .map(|s| s.description.clone())
     }
 
-    /// CDN fetch (not rate-limited — it's a CDN). Returns the thumbnail
-    /// whose content currently sits at the URL, i.e. the one generated at
-    /// the latest sample instant ≤ `now`.
-    pub fn cdn_get(&self, url: &str, now: SimTime) -> CdnResponse {
-        let Some(username) = url.strip_prefix("cdn://thumbs/") else {
-            return CdnResponse::Offline;
-        };
-        let Some(idx) = self
+    /// The streamer index, stream and sample position whose thumbnail
+    /// sits at `url` at `now`: the one generated at the latest sample
+    /// instant ≤ `now`. `None` means the URL redirects to the offline
+    /// placeholder (unknown URL, not live, or live but the first
+    /// thumbnail hasn't been generated yet).
+    fn current(&self, url: &str, now: SimTime) -> Option<(usize, &TruthStream, usize)> {
+        let username = url.strip_prefix("cdn://thumbs/")?;
+        let idx = self
             .streamers
             .iter()
-            .position(|s| s.id.as_str() == username)
-        else {
+            .position(|s| s.id.as_str() == username)?;
+        let stream = self.live_stream(idx, now)?;
+        let pos = stream.samples.iter().rposition(|s| s.t <= now)?;
+        Some((idx, stream, pos))
+    }
+
+    /// CDN fetch (not rate-limited — it's a CDN). Describes the thumbnail
+    /// whose content currently sits at the URL; no pixels are drawn.
+    pub fn cdn_get(&self, url: &str, now: SimTime) -> CdnResponse {
+        let Some((idx, stream, pos)) = self.current(url, now) else {
             return CdnResponse::Offline;
         };
-        let Some(stream) = self.live_stream(idx, now) else {
-            return CdnResponse::Offline;
-        };
-        let Some(pos) = stream.samples.iter().rposition(|s| s.t <= now) else {
-            // Live but the first thumbnail hasn't been generated yet.
-            return CdnResponse::Offline;
-        };
-        let sample = stream.samples[pos];
-        let next_update = stream.samples.get(pos + 1).map(|s| s.t);
         // Faults only apply where a real response would exist — an Offline
         // redirect is already its own failure mode.
-        if let Some(chaos) = self.chaos.as_ref() {
-            if let Some(fault) = chaos.cdn_fault() {
-                if fault == CdnFault::Timeout {
-                    return CdnResponse::TimedOut;
-                }
-                let mut image = render_thumbnail(&self.streamers[idx], stream.game, &sample);
-                chaos.mangle_payload(fault, &mut image.pixels);
-                return CdnResponse::Thumbnail {
-                    image,
-                    generated_at: sample.t,
-                    next_update,
-                };
-            }
-        }
-        let image = render_thumbnail(&self.streamers[idx], stream.game, &sample);
+        let fault = match self.chaos.as_ref().and_then(|c| c.cdn_fault()) {
+            Some(CdnFault::Timeout) => return CdnResponse::TimedOut,
+            fault => fault,
+        };
         CdnResponse::Thumbnail {
-            image,
-            generated_at: sample.t,
-            next_update,
+            content: ThumbContent {
+                streamer: self.streamers[idx].id.clone(),
+                generated_at: stream.samples[pos].t,
+                fault,
+            },
+            next_update: stream.samples.get(pos + 1).map(|s| s.t),
         }
     }
 
     /// HEAD request: just the content timestamp and next expected update.
+    /// A pure lookup — it draws no fault and never times out.
     pub fn cdn_head(&self, url: &str, now: SimTime) -> Option<(SimTime, Option<SimTime>)> {
-        match self.cdn_get(url, now) {
-            CdnResponse::Thumbnail {
-                generated_at,
-                next_update,
-                ..
-            } => Some((generated_at, next_update)),
-            CdnResponse::Offline | CdnResponse::TimedOut => None,
+        let (_, stream, pos) = self.current(url, now)?;
+        Some((
+            stream.samples[pos].t,
+            stream.samples.get(pos + 1).map(|s| s.t),
+        ))
+    }
+
+    /// The pixels of a thumbnail: the ground-truth sample `content` names,
+    /// rendered by [`render_thumbnail`], with its payload fault applied.
+    /// Byte-identical to what a CDN rendering on every fetch would have
+    /// served. `None` when the world has no such sample.
+    pub fn render(&self, content: &ThumbContent) -> Option<Image> {
+        let (idx, stream, sample) =
+            self.sample_at(content.streamer.as_str(), content.generated_at)?;
+        let mut image = render_thumbnail(&self.streamers[idx], stream.game, sample);
+        if let Some(fault) = content.fault {
+            fault.mangle(&mut image.pixels);
         }
+        Some(image)
     }
 
     /// Ground truth access for evaluation: the sample behind a thumbnail.
     pub fn truth_sample(&self, username: &str, t: SimTime) -> Option<TruthSample> {
+        self.sample_at(username, t).map(|(_, _, sample)| *sample)
+    }
+
+    /// The streamer index, stream and ground-truth sample of `username`
+    /// generated at exactly `t`.
+    fn sample_at(&self, username: &str, t: SimTime) -> Option<(usize, &TruthStream, &TruthSample)> {
         let idx = self
             .streamers
             .iter()
             .position(|s| s.id.as_str() == username)?;
         let stream = self.live_stream(idx, t)?;
-        stream.samples.iter().find(|s| s.t == t).copied()
+        let sample = stream.samples.iter().find(|s| s.t == t)?;
+        Some((idx, stream, sample))
     }
 }
 
@@ -324,7 +435,167 @@ pub fn build_scene(streamer: &Streamer, game: GameId, sample: &TruthSample) -> (
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use tero_chaos::FaultPlan;
     use tero_types::SimDuration;
+
+    fn fault_of(tag: u8) -> Option<CdnFault> {
+        [
+            None,
+            Some(CdnFault::Timeout),
+            Some(CdnFault::Truncated),
+            Some(CdnFault::Corrupted),
+        ][tag as usize % 4]
+    }
+
+    proptest! {
+        #[test]
+        fn content_decode_never_panics(
+            key in "[a-z0-9/_é]{0,12}",
+            payload in prop::collection::vec(any::<u8>(), 0..4),
+            tag in 0u8..6,
+        ) {
+            // Any key, any payload; then a one-byte payload of a valid or
+            // unknown tag so decoding gets past the length check.
+            let _ = ThumbContent::decode(&key, &payload);
+            let _ = ThumbContent::decode(&key, &[tag]);
+        }
+
+        #[test]
+        fn content_encode_decode_round_trips(
+            name in "[a-zA-Z0-9_%|/é]{1,25}",
+            micros in any::<u64>(),
+            tag in 0u8..4,
+        ) {
+            let content = ThumbContent {
+                streamer: StreamerId::new(name.as_str()),
+                generated_at: SimTime::from_micros(micros),
+                fault: fault_of(tag),
+            };
+            prop_assert_eq!(
+                ThumbContent::decode(&content.object_key(), &content.encode()),
+                Ok(content)
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_content_is_a_typed_error() {
+        let key = "finewolf/300000000";
+        assert!(ThumbContent::decode(key, &[0]).is_ok());
+        assert_eq!(ThumbContent::decode(key, &[]), Err(ContentError::Length(0)));
+        assert_eq!(
+            ThumbContent::decode(key, &[7]),
+            Err(ContentError::UnknownTag(7))
+        );
+        // The raw-pixel layout (a width/height header, then pixels) is not
+        // a content payload.
+        let mut raw = 160u32.to_le_bytes().to_vec();
+        raw.extend(90u32.to_le_bytes());
+        raw.extend([7u8; 16]);
+        assert_eq!(
+            ThumbContent::decode(key, &raw),
+            Err(ContentError::Length(24))
+        );
+        for bad_key in [
+            "finewolf",
+            "/300000000",
+            "finewolf/",
+            "finewolf/-5",
+            "finewolf/5x",
+        ] {
+            assert_eq!(
+                ThumbContent::decode(bad_key, &[0]),
+                Err(ContentError::BadKey)
+            );
+        }
+    }
+
+    /// The render contract: for every payload fault a stored thumbnail
+    /// can carry, the lazily rendered image is byte-equal to the
+    /// ground-truth sample's `render_thumbnail` with the fault's damage —
+    /// for corruption, every third byte XOR `0xA5` — applied.
+    #[test]
+    fn lazy_render_matches_eager_render() {
+        use crate::{World, WorldConfig};
+        for (plan, corrupted) in [
+            (FaultPlan::quiet(3), false),
+            (
+                FaultPlan {
+                    cdn_corrupt_rate: 1.0,
+                    ..FaultPlan::quiet(3)
+                },
+                true,
+            ),
+        ] {
+            let mut world = World::build(WorldConfig {
+                seed: 8,
+                n_streamers: 8,
+                days: 1,
+                ..WorldConfig::default()
+            });
+            world.install_chaos(ChaosInjector::new(plan));
+            let mut checked = 0;
+            for (streamer, timeline) in world.streamers().iter().zip(world.timelines()) {
+                for stream in timeline {
+                    for sample in stream.samples.iter().step_by(3) {
+                        let url = format!("cdn://thumbs/{}", streamer.id.as_str());
+                        let CdnResponse::Thumbnail { content, .. } =
+                            world.twitch.cdn_get(&url, sample.t)
+                        else {
+                            panic!("live sample not served");
+                        };
+                        let expected_fault = corrupted.then_some(CdnFault::Corrupted);
+                        assert_eq!(content.fault, expected_fault);
+                        let mut expected = render_thumbnail(streamer, stream.game, sample);
+                        if corrupted {
+                            for (i, byte) in expected.pixels.iter_mut().enumerate() {
+                                if i % 3 == 0 {
+                                    *byte ^= 0xA5;
+                                }
+                            }
+                        }
+                        assert_eq!(world.twitch.render(&content), Some(expected));
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked > 10, "only {checked} thumbnails checked");
+        }
+    }
+
+    #[test]
+    fn render_needs_a_ground_truth_sample() {
+        use crate::{World, WorldConfig};
+        let world = World::build(WorldConfig {
+            seed: 8,
+            n_streamers: 4,
+            days: 1,
+            ..WorldConfig::default()
+        });
+        let streamer = &world.streamers()[0];
+        let sample_t = world.timelines()[0]
+            .iter()
+            .find_map(|st| st.samples.first())
+            .expect("a sample")
+            .t;
+        let real = ThumbContent {
+            streamer: streamer.id.clone(),
+            generated_at: sample_t,
+            fault: None,
+        };
+        assert!(world.twitch.render(&real).is_some());
+        let off_instant = ThumbContent {
+            generated_at: sample_t + SimDuration::from_secs(1),
+            ..real.clone()
+        };
+        assert_eq!(world.twitch.render(&off_instant), None);
+        let stranger = ThumbContent {
+            streamer: StreamerId::new("nobody"),
+            ..real
+        };
+        assert_eq!(world.twitch.render(&stranger), None);
+    }
 
     #[test]
     fn rate_limiter_windows() {

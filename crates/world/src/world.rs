@@ -359,13 +359,10 @@ mod tests {
         assert!(!listings.is_empty(), "no live stream found in 3 days");
         let url = &listings[0].thumbnail_url;
         match world.twitch.cdn_get(url, t) {
-            crate::twitch::CdnResponse::Thumbnail {
-                image,
-                generated_at,
-                ..
-            } => {
+            crate::twitch::CdnResponse::Thumbnail { content, .. } => {
+                let image = world.twitch.render(&content).expect("content renders");
                 assert_eq!(image.width, tero_vision::scene::THUMB_W);
-                assert!(generated_at <= t);
+                assert!(content.generated_at <= t);
             }
             crate::twitch::CdnResponse::Offline => {
                 // Live but first thumbnail not yet posted is possible only

@@ -22,6 +22,11 @@ cargo build --release --examples
 echo "==> cargo test"
 cargo test -q
 
+echo "==> cargo test (member crates: unit, property and doc tests)"
+# The root package's tests ran just above; this adds every other
+# workspace member's own suites.
+cargo test -q --workspace --exclude tero
+
 echo "==> trace determinism (trace_explore twice, byte-compare + JSON parse)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT

@@ -9,6 +9,8 @@ use tero::core::pipeline::{ExtractionMode, Tero};
 use tero::obs::Registry;
 use tero::store::{KvStore, ObjectStore};
 use tero::types::{GameId, SimTime, StreamerId};
+use tero::vision::scene::{THUMB_H, THUMB_W};
+use tero::world::twitch::{CdnResponse, ThumbContent};
 use tero::world::{World, WorldConfig};
 
 fn chaos_world(seed: u64) -> World {
@@ -149,11 +151,33 @@ fn requeued_dead_letter_task_completes() {
     let mut module = DownloadModule::new(kv.clone(), objects.clone());
     module.instrument(&Registry::new());
 
+    // A real thumbnail of a small world, so its stored descriptor renders.
+    let world = World::build(WorldConfig {
+        seed: 4,
+        n_streamers: 5,
+        days: 1,
+        ..WorldConfig::default()
+    });
+    let (streamer, stream) = world
+        .streamers()
+        .iter()
+        .zip(world.timelines())
+        .find_map(|(s, tl)| {
+            tl.iter()
+                .find(|st| !st.samples.is_empty())
+                .map(|st| (s, st))
+        })
+        .expect("a stream with thumbnails");
+    let content = ThumbContent {
+        streamer: streamer.id.clone(),
+        generated_at: stream.samples[0].t,
+        fault: None,
+    };
     let task = ThumbnailTask {
-        streamer: StreamerId::new("finewolf"),
-        game_label: GameId::Dota2,
-        generated_at: SimTime::from_mins(5),
-        object_key: "finewolf/300000000".into(),
+        streamer: content.streamer.clone(),
+        game_label: stream.game,
+        generated_at: content.generated_at,
+        object_key: content.object_key(),
     };
     // Mid-plan, the extract stage found the object unreadable and parked
     // the (perfectly well-formed) task; a malformed entry is parked too.
@@ -162,12 +186,7 @@ fn requeued_dead_letter_task_completes() {
     assert_eq!(module.dead_letter_depth(), 2);
 
     // The fault plan is over: the object is readable again.
-    let (width, height) = (4u32, 3u32);
-    let mut payload = Vec::new();
-    payload.extend(width.to_le_bytes());
-    payload.extend(height.to_le_bytes());
-    payload.extend(vec![0u8; (width * height) as usize]);
-    objects.put("thumbs", &task.object_key, payload);
+    objects.put("thumbs", &task.object_key, content.encode());
 
     let (requeued, still_dead) = module.requeue_dead();
     assert_eq!((requeued, still_dead), (1, 1));
@@ -177,10 +196,12 @@ fn requeued_dead_letter_task_completes() {
     // thumbnail decodes.
     let tasks = module.drain_tasks();
     assert_eq!(tasks, vec![task.clone()]);
-    let image = module
-        .load_image(&task.object_key)
+    let loaded = module
+        .load_content(&task.object_key)
         .expect("requeued task's object loads");
-    assert_eq!((image.width, image.height), (4, 3));
+    assert_eq!(loaded, content);
+    let image = world.twitch.render(&loaded).expect("its thumbnail renders");
+    assert_eq!((image.width, image.height), (THUMB_W, THUMB_H));
     // Requeueing did not re-count the entries as fresh quarantines, and
     // the decodable entry did not bump decode_failures on the way out.
     assert_eq!(module.dead_letter_depth(), 1);
@@ -247,4 +268,90 @@ fn full_pipeline_survives_default_faults() {
         summary.ingested,
         "every sample is published or carries a typed drop reason"
     );
+}
+
+/// The `chaos.injected.cdn_*` counters of a registry.
+fn cdn_fault_counters(registry: &Registry) -> [Option<u64>; 3] {
+    let snap = registry.snapshot();
+    [
+        snap.counter("chaos.injected.cdn_timeout"),
+        snap.counter("chaos.injected.cdn_truncated"),
+        snap.counter("chaos.injected.cdn_corrupt"),
+    ]
+}
+
+/// HEAD is a pure lookup: it draws nothing from the chaos CDN stream, so
+/// interleaving HEADs between GETs leaves the GET fault sequence and the
+/// injected-fault counters exactly as they are without them.
+#[test]
+fn cdn_head_leaves_the_get_fault_sequence_alone() {
+    let plan = FaultPlan {
+        cdn_timeout_rate: 0.2,
+        cdn_truncate_rate: 0.2,
+        cdn_corrupt_rate: 0.2,
+        ..FaultPlan::quiet(17)
+    };
+    let run = |with_heads: bool| {
+        let mut world = chaos_world(37);
+        let registry = Registry::new();
+        let injector = ChaosInjector::new(plan.clone());
+        injector.instrument(&registry);
+        world.install_chaos(injector);
+        let mut gets = Vec::new();
+        for (streamer, timeline) in world.streamers().iter().zip(world.timelines()) {
+            let url = format!("cdn://thumbs/{}", streamer.id.as_str());
+            for sample in timeline.iter().flat_map(|st| st.samples.iter().take(4)) {
+                if with_heads {
+                    let head = world.twitch.cdn_head(&url, sample.t);
+                    assert_eq!(head.map(|(at, _)| at), Some(sample.t), "HEAD never faults");
+                }
+                gets.push(format!("{:?}", world.twitch.cdn_get(&url, sample.t)));
+            }
+        }
+        (gets, cdn_fault_counters(&registry))
+    };
+    let (plain, plain_counts) = run(false);
+    let (interleaved, interleaved_counts) = run(true);
+    assert!(plain.len() > 50);
+    assert!(
+        plain_counts.iter().all(|c| c.unwrap_or(0) > 0),
+        "every CDN fault class fired: {plain_counts:?}"
+    );
+    assert_eq!(plain, interleaved);
+    assert_eq!(plain_counts, interleaved_counts);
+}
+
+/// Under a plan where every GET times out, HEAD on a live URL still
+/// answers: a timeout is a property of a fetch, not of the URL.
+#[test]
+fn cdn_head_answers_while_every_get_times_out() {
+    let mut world = chaos_world(38);
+    let registry = Registry::new();
+    let injector = ChaosInjector::new(FaultPlan {
+        cdn_timeout_rate: 1.0,
+        ..FaultPlan::quiet(2)
+    });
+    injector.instrument(&registry);
+    world.install_chaos(injector);
+    let (url, samples) = world
+        .streamers()
+        .iter()
+        .zip(world.timelines())
+        .find_map(|(s, tl)| {
+            tl.iter()
+                .find(|st| st.samples.len() >= 2)
+                .map(|st| (format!("cdn://thumbs/{}", s.id.as_str()), &st.samples))
+        })
+        .expect("a stream with two thumbnails");
+    let t = samples[0].t;
+    assert!(matches!(
+        world.twitch.cdn_get(&url, t),
+        CdnResponse::TimedOut
+    ));
+    assert_eq!(
+        world.twitch.cdn_head(&url, t),
+        Some((t, Some(samples[1].t)))
+    );
+    // Only the GET drew a fault.
+    assert_eq!(cdn_fault_counters(&registry), [Some(1), Some(0), Some(0)]);
 }

@@ -123,8 +123,8 @@ fn cdn_contents_match_ground_truth_samples() {
             for s in stream.samples.iter().take(3) {
                 let url = format!("cdn://thumbs/{}", streamer.id.as_str());
                 match world.twitch.cdn_get(&url, s.t) {
-                    tero::world::twitch::CdnResponse::Thumbnail { generated_at, .. } => {
-                        assert_eq!(generated_at, s.t);
+                    tero::world::twitch::CdnResponse::Thumbnail { content, .. } => {
+                        assert_eq!(content.generated_at, s.t);
                         checked += 1;
                     }
                     tero::world::twitch::CdnResponse::Offline => {

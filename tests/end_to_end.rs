@@ -14,6 +14,30 @@ fn small_world(seed: u64) -> World {
     })
 }
 
+/// Calibrated extraction never reads pixels, so none are stored: every
+/// object-store write is a thumbnail's content descriptor, a few dozen
+/// bytes, and no object is ever read back.
+#[test]
+fn calibrated_run_stores_no_pixels() {
+    let mut world = small_world(72);
+    let tero = Tero {
+        mode: ExtractionMode::Calibrated,
+        min_streamers: 3,
+        ..Tero::default()
+    };
+    let report = tero.run(&mut world);
+    let snap = tero.metrics_snapshot();
+    let writes = snap.counter("store.object.writes").unwrap_or(0);
+    let put_bytes = snap.counter("store.object.put_bytes").unwrap_or(0);
+    assert!(report.thumbnails > 0);
+    assert!(writes >= report.thumbnails, "{writes} writes");
+    assert!(
+        put_bytes <= 64 * writes,
+        "{put_bytes} bytes over {writes} object writes: pixels were stored"
+    );
+    assert_eq!(snap.counter("store.object.reads"), Some(0));
+}
+
 #[test]
 fn full_ocr_pipeline_produces_consistent_report() {
     let mut world = small_world(71);
